@@ -18,6 +18,44 @@ using common::SharedBytes;
 using common::TimePoint;
 using common::Writer;
 
+namespace {
+
+// Protocol timing and window sizes; durations are real time, like the
+// GcsConfig ones.
+constexpr Duration kHeartbeatInterval = std::chrono::milliseconds(20);
+constexpr Duration kViewAckTimeout = std::chrono::milliseconds(250);
+/// How many delivered messages each member retains for NACK repair and
+/// view-change reconciliation (a sliding window; older ones cannot be
+/// re-requested, matching a real GC layer's stability horizon).
+constexpr std::size_t kRetainedLimit = 8192;
+/// The sequencer's dedup map is pruned once it exceeds this many
+/// entries (entries below the retained window reference messages nobody
+/// can re-request anyway).
+constexpr std::size_t kDedupLimit = 2 * kRetainedLimit;
+
+/// Starts a datagram: every kind leads with (kind, group).
+Writer begin_wire(WireKind kind, GroupId group, std::size_t capacity = 32) {
+  Writer w;
+  w.reserve(capacity);
+  w.u8(static_cast<std::uint8_t>(kind));
+  w.u32(group.value());
+  return w;
+}
+
+/// Encodes a SeqBatch for flushes and NACK repairs alike: `run` is a
+/// non-empty contiguous run of sequence numbers.
+Bytes encode_seq_batch(GroupId group, const std::vector<const Sequenced*>& run) {
+  std::size_t bytes = 0;
+  for (const Sequenced* m : run) bytes += m->submission.payload.size();
+  Writer w = begin_wire(WireKind::kSeqBatch, group, bytes + 20 * (run.size() + 1));
+  w.u64(run.front()->seq.value());
+  w.u32(static_cast<std::uint32_t>(run.size()));
+  for (const Sequenced* m : run) encode_submission(w, m->submission);
+  return w.take();
+}
+
+}  // namespace
+
 GroupService::GroupService(transport::SimNetwork& net, NodeId self, GcsConfig config)
     : net_(net), self_(self), config_(config) {
   net_.set_handler(self_, [this](transport::Message m) { on_message(std::move(m)); });
@@ -85,10 +123,7 @@ std::uint64_t GroupService::submit(GroupId group, Bytes payload) {
 }
 
 void GroupService::send_direct(NodeId dst, Bytes payload) {
-  Writer w;
-  w.reserve(payload.size() + 16);
-  w.u8(static_cast<std::uint8_t>(WireKind::kDirect));
-  w.u32(0);
+  Writer w = begin_wire(WireKind::kDirect, GroupId(0), payload.size() + 16);
   w.blob(payload);
   net_.send(self_, dst, w.take());
 }
@@ -141,11 +176,8 @@ void GroupService::on_message(transport::Message message) {
   }
   try {
     switch (kind) {
-      case WireKind::kSubmit: handle_submit(group, message, r); break;
       case WireKind::kSubmitBatch: handle_submit_batch(group, message, r); break;
-      case WireKind::kSubmitAck: handle_submit_ack(group, r); break;
       case WireKind::kSubmitAckBatch: handle_submit_ack_batch(group, r); break;
-      case WireKind::kSeqMsg: handle_seq_msg(group, message, r); break;
       case WireKind::kSeqBatch: handle_seq_batch(group, message, r); break;
       case WireKind::kNack: handle_nack(group, message.src, r); break;
       case WireKind::kHeartbeat: handle_heartbeat(group, message.src, r); break;
@@ -160,28 +192,14 @@ void GroupService::on_message(transport::Message message) {
   }
 }
 
-void GroupService::handle_submit(GroupId group, const transport::Message& m,
-                                 Reader& r) {
-  auto it = memberships_.find(group.value());
-  if (it == memberships_.end()) return;
-  MemberState& st = it->second;
-  if (st.view.sequencer() != self_) {
-    // Forward the original envelope to the current sequencer verbatim
-    // (the submission carries its own sender field); the sender will
-    // also retry.
-    send_wire(st.view.sequencer(), m.payload);
-    return;
-  }
-  sequence_submission(group, st, decode_submission(r, m.payload));
-  maybe_flush(group, st, /*force=*/false);
-}
-
 void GroupService::handle_submit_batch(GroupId group, const transport::Message& m,
                                        Reader& r) {
   auto it = memberships_.find(group.value());
   if (it == memberships_.end()) return;
   MemberState& st = it->second;
   if (st.view.sequencer() != self_) {
+    // Forward the original envelope to the current sequencer verbatim
+    // (it names its sender); the sender will also retry.
     send_wire(st.view.sequencer(), m.payload);
     return;
   }
@@ -211,11 +229,7 @@ void GroupService::sequence_submission(GroupId group, MemberState& st,
     // flush anyway, and acking earlier would widen the loss window on a
     // sequencer crash.
     if (!st.view.contains(submission.sender) && dup->second <= st.flushed_seq) {
-      Writer w;
-      w.u8(static_cast<std::uint8_t>(WireKind::kSubmitAck));
-      w.u32(group.value());
-      w.u64(submission.sender_msg_id);
-      send_wire(submission.sender, w.take());
+      send_acks(group, submission.sender, {submission.sender_msg_id});
     }
     return;
   }
@@ -259,64 +273,35 @@ void GroupService::flush_batch(GroupId group, MemberState& st) {
     st.batch_acks.clear();
     return;
   }
-  std::size_t i = 0;
-  while (i < st.batch.size()) {
-    // One contiguous chunk per datagram, capped by both batch knobs.
-    std::size_t count = 1;
-    std::size_t bytes = st.batch[i].submission.payload.size();
-    while (i + count < st.batch.size() && count < config_.max_batch_msgs &&
-           bytes < config_.max_batch_bytes) {
-      bytes += st.batch[i + count].submission.payload.size();
-      ++count;
+  // One contiguous chunk per datagram, capped by both batch knobs.
+  std::vector<const Sequenced*> run;
+  std::size_t run_bytes = 0;
+  for (std::size_t i = 0; i < st.batch.size(); ++i) {
+    run.push_back(&st.batch[i]);
+    run_bytes += st.batch[i].submission.payload.size();
+    if (i + 1 < st.batch.size() && run.size() < config_.max_batch_msgs &&
+        run_bytes < config_.max_batch_bytes) {
+      continue;
     }
-    Writer w;
-    w.reserve(bytes + 20 * (count + 1));
-    if (count == 1) {
-      w.u8(static_cast<std::uint8_t>(WireKind::kSeqMsg));
-      w.u32(group.value());
-      encode_sequenced(w, st.batch[i]);
-    } else {
-      w.u8(static_cast<std::uint8_t>(WireKind::kSeqBatch));
-      w.u32(group.value());
-      encode_seq_batch_header(w, st.batch[i].seq.value(),
-                              static_cast<std::uint32_t>(count));
-      for (std::size_t j = 0; j < count; ++j) {
-        encode_submission(w, st.batch[i + j].submission);
-      }
-    }
-    const SharedBytes datagram{w.take()};
+    const SharedBytes datagram{encode_seq_batch(group, run)};
     for (auto m : st.view.members) send_wire(m, datagram);
-    st.flushed_seq = st.batch[i + count - 1].seq.value();
-    i += count;
+    st.flushed_seq = run.back()->seq.value();
+    run.clear();
+    run_bytes = 0;
   }
   st.batch.clear();
   st.batch_bytes = 0;
   // The deferred external acks: the messages are on the wire now.
-  for (auto& [node, ids] : st.batch_acks) {
-    if (ids.size() == 1) {
-      Writer w;
-      w.u8(static_cast<std::uint8_t>(WireKind::kSubmitAck));
-      w.u32(group.value());
-      w.u64(ids.front());
-      send_wire(NodeId(node), w.take());
-      continue;
-    }
-    Writer w;
-    w.reserve(ids.size() * 8 + 16);
-    w.u8(static_cast<std::uint8_t>(WireKind::kSubmitAckBatch));
-    w.u32(group.value());
-    w.u32(static_cast<std::uint32_t>(ids.size()));
-    for (const std::uint64_t id : ids) w.u64(id);
-    send_wire(NodeId(node), w.take());
-  }
+  for (const auto& [node, ids] : st.batch_acks) send_acks(group, NodeId(node), ids);
   st.batch_acks.clear();
 }
 
-void GroupService::handle_submit_ack(GroupId group, Reader& r) {
-  const std::uint64_t msg_id = r.u64();
-  auto it = senders_.find(group.value());
-  if (it == senders_.end()) return;
-  it->second.pending.erase(msg_id);
+void GroupService::send_acks(GroupId group, NodeId dst,
+                             const std::vector<std::uint64_t>& msg_ids) {
+  Writer w = begin_wire(WireKind::kSubmitAckBatch, group, msg_ids.size() * 8 + 16);
+  w.u32(static_cast<std::uint32_t>(msg_ids.size()));
+  for (const std::uint64_t id : msg_ids) w.u64(id);
+  send_wire(dst, w.take());
 }
 
 void GroupService::handle_submit_ack_batch(GroupId group, Reader& r) {
@@ -326,14 +311,6 @@ void GroupService::handle_submit_ack_batch(GroupId group, Reader& r) {
   for (std::uint32_t i = 0; i < count; ++i) {
     it->second.pending.erase(r.u64());
   }
-}
-
-void GroupService::handle_seq_msg(GroupId group, const transport::Message& m,
-                                  Reader& r) {
-  auto it = memberships_.find(group.value());
-  if (it == memberships_.end()) return;
-  MemberState& st = it->second;
-  store_and_deliver(group, st, decode_sequenced(r, m.payload));
 }
 
 void GroupService::handle_seq_batch(GroupId group, const transport::Message& m,
@@ -348,6 +325,7 @@ void GroupService::handle_seq_batch(GroupId group, const transport::Message& m,
     message.seq = SeqNo(first_seq + i);
     message.submission = decode_submission(r, m.payload);
     const std::uint64_t seq = message.seq.value();
+    // A member observing its own submission sequenced can stop retrying it.
     if (message.submission.sender == self_) {
       if (auto sit = senders_.find(group.value()); sit != senders_.end()) {
         sit->second.pending.erase(message.submission.sender_msg_id);
@@ -357,22 +335,6 @@ void GroupService::handle_seq_batch(GroupId group, const transport::Message& m,
     if (st.commit_pending && seq > st.commit_final_highest) continue;
     st.holdback.emplace(seq, std::move(message));
   }
-  try_deliver(group, st);
-  send_nack_if_gap(group, st, /*force=*/false);
-}
-
-void GroupService::store_and_deliver(GroupId group, MemberState& st,
-                                     Sequenced message) {
-  const std::uint64_t seq = message.seq.value();
-  // A member observing its own submission sequenced can stop retrying it.
-  if (message.submission.sender == self_) {
-    if (auto sit = senders_.find(group.value()); sit != senders_.end()) {
-      sit->second.pending.erase(message.submission.sender_msg_id);
-    }
-  }
-  if (seq <= st.delivered_up_to) return;
-  if (st.commit_pending && seq > st.commit_final_highest) return;
-  st.holdback.emplace(seq, std::move(message));
   try_deliver(group, st);
   send_nack_if_gap(group, st, /*force=*/false);
 }
@@ -392,14 +354,12 @@ void GroupService::try_deliver(GroupId group, MemberState& st) {
   if (!ready.empty()) events_.push(DeliverEvent{group, std::move(ready)});
   // Slide the repair window; also bound the sequencer's dedup map (its
   // entries reference sequence numbers below the window anyway).
-  while (st.retained.size() > config_.retained_limit) {
+  while (st.retained.size() > kRetainedLimit) {
     st.retained.erase(st.retained.begin());
   }
-  if (st.dedup.size() > config_.dedup_horizon_factor * config_.retained_limit) {
+  if (st.dedup.size() > kDedupLimit) {
     const std::uint64_t horizon =
-        st.delivered_up_to > config_.retained_limit
-            ? st.delivered_up_to - config_.retained_limit
-            : 0;
+        st.delivered_up_to > kRetainedLimit ? st.delivered_up_to - kRetainedLimit : 0;
     for (auto it = st.dedup.begin(); it != st.dedup.end();) {
       if (it->second < horizon) {
         it = st.dedup.erase(it);
@@ -419,12 +379,15 @@ void GroupService::send_nack_if_gap(GroupId group, MemberState& st, bool force) 
   const auto now = common::Clock::now();
   if (!force && now - st.last_nack < config_.retransmit_interval) return;
   st.last_nack = now;
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(WireKind::kNack));
-  w.u32(group.value());
-  w.u64(expected);
-  w.u64(first_held - 1);
-  send_wire(st.view.sequencer(), w.take());
+  send_nack(group, st.view.sequencer(), expected, first_held - 1);
+}
+
+void GroupService::send_nack(GroupId group, NodeId dst, std::uint64_t from_seq,
+                             std::uint64_t to_seq) {
+  Writer w = begin_wire(WireKind::kNack, group);
+  w.u64(from_seq);
+  w.u64(to_seq);
+  send_wire(dst, w.take());
 }
 
 void GroupService::handle_nack(GroupId group, NodeId from, Reader& r) {
@@ -444,20 +407,7 @@ void GroupService::send_repair(GroupId group, MemberState& st, NodeId dst,
   std::size_t run_bytes = 0;
   const auto emit = [&]() ADETS_REQUIRES(mutex_) {
     if (run.empty()) return;
-    Writer w;
-    w.reserve(run_bytes + 20 * (run.size() + 1));
-    if (run.size() == 1) {
-      w.u8(static_cast<std::uint8_t>(WireKind::kSeqMsg));
-      w.u32(group.value());
-      encode_sequenced(w, *run.front());
-    } else {
-      w.u8(static_cast<std::uint8_t>(WireKind::kSeqBatch));
-      w.u32(group.value());
-      encode_seq_batch_header(w, run.front()->seq.value(),
-                              static_cast<std::uint32_t>(run.size()));
-      for (const Sequenced* m : run) encode_submission(w, m->submission);
-    }
-    send_wire(dst, w.take());
+    send_wire(dst, encode_seq_batch(group, run));
     run.clear();
     run_bytes = 0;
   };
@@ -486,7 +436,7 @@ void GroupService::handle_heartbeat(GroupId group, NodeId, Reader& r) {
   // Liveness was already recorded in on_message.  The heartbeat also
   // carries the peer's highest known sequence number: that is the only
   // way a member can detect a gap at the TAIL of the stream.  A dropped
-  // final SeqMsg leaves the holdback queue empty, so send_nack_if_gap
+  // final SeqBatch leaves the holdback queue empty, so send_nack_if_gap
   // never fires, and once the submitter has seen its own submission
   // sequenced nobody retransmits -- the member would lag forever.
   const std::uint64_t peer_highest = r.u64();
@@ -498,12 +448,7 @@ void GroupService::handle_heartbeat(GroupId group, NodeId, Reader& r) {
   const auto now = common::Clock::now();
   if (now - st.last_nack < config_.retransmit_interval) return;
   st.last_nack = now;
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(WireKind::kNack));
-  w.u32(group.value());
-  w.u64(st.delivered_up_to + 1);
-  w.u64(peer_highest);
-  send_wire(st.view.sequencer(), w.take());
+  send_nack(group, st.view.sequencer(), st.delivered_up_to + 1, peer_highest);
 }
 
 // --- view changes ------------------------------------------------------------
@@ -519,11 +464,9 @@ void GroupService::start_proposal(GroupId group, MemberState& st) {
   st.proposal_members = survivors;
   st.proposal_acks.clear();
   st.proposal_highest = st.delivered_up_to;
-  st.proposal_deadline = common::Clock::now() + config_.view_ack_timeout;
+  st.proposal_deadline = common::Clock::now() + kViewAckTimeout;
 
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(WireKind::kViewPropose));
-  w.u32(group.value());
+  Writer w = begin_wire(WireKind::kViewPropose, group);
   w.u32(st.proposal_view_id);
   w.u32(static_cast<std::uint32_t>(survivors.size()));
   for (auto m : survivors) w.u32(m.value());
@@ -560,9 +503,7 @@ void GroupService::handle_view_propose(GroupId group, NodeId from, Reader& r) {
   for (const auto& [seq, msg] : st.holdback) {
     if (seq > coord_highest) extra.push_back(&msg);
   }
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(WireKind::kViewAck));
-  w.u32(group.value());
+  Writer w = begin_wire(WireKind::kViewAck, group);
   w.u32(proposal_view_id);
   w.u64(st.delivered_up_to);
   w.u32(static_cast<std::uint32_t>(extra.size()));
@@ -608,9 +549,7 @@ void GroupService::finish_proposal(GroupId group, MemberState& st) {
   new_view.members = st.proposal_members;
   std::sort(new_view.members.begin(), new_view.members.end());
 
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(WireKind::kViewCommit));
-  w.u32(group.value());
+  Writer w = begin_wire(WireKind::kViewCommit, group);
   encode_view(w, new_view);
   w.u64(final_highest);
   const SharedBytes datagram{w.take()};
@@ -644,12 +583,8 @@ void GroupService::handle_view_commit(GroupId group, Reader& r) {
   try_deliver(group, st);
   // Any gap below final_highest must be repaired by the new sequencer.
   if (st.delivered_up_to < final_highest) {
-    Writer w;
-    w.u8(static_cast<std::uint8_t>(WireKind::kNack));
-    w.u32(group.value());
-    w.u64(st.delivered_up_to + 1);
-    w.u64(final_highest);
-    send_wire(st.committed_view.sequencer(), w.take());
+    send_nack(group, st.committed_view.sequencer(), st.delivered_up_to + 1,
+              final_highest);
   }
 }
 
@@ -728,6 +663,7 @@ void GroupService::send_submissions(GroupId group, SenderState& sender,
   const NodeId dst = sender.members[target];
   std::size_t i = 0;
   while (i < msg_ids.size()) {
+    // One datagram per chunk, capped by both batch knobs.
     std::size_t count = 1;
     std::size_t bytes = sender.pending[msg_ids[i]].payload.size();
     while (i + count < msg_ids.size() && count < config_.max_batch_msgs &&
@@ -735,23 +671,13 @@ void GroupService::send_submissions(GroupId group, SenderState& sender,
       bytes += sender.pending[msg_ids[i + count]].payload.size();
       ++count;
     }
-    Writer w;
-    w.reserve(bytes + 20 * (count + 1));
-    if (count == 1) {
-      w.u8(static_cast<std::uint8_t>(WireKind::kSubmit));
-      w.u32(group.value());
-      Submission submission{self_, msg_ids[i], sender.pending[msg_ids[i]].payload};
-      encode_submission(w, submission);
-    } else {
-      w.u8(static_cast<std::uint8_t>(WireKind::kSubmitBatch));
-      w.u32(group.value());
-      w.u32(self_.value());
-      w.u32(static_cast<std::uint32_t>(count));
-      for (std::size_t j = 0; j < count; ++j) {
-        const std::uint64_t id = msg_ids[i + j];
-        w.u64(id);
-        w.blob(sender.pending[id].payload);
-      }
+    Writer w = begin_wire(WireKind::kSubmitBatch, group, bytes + 20 * (count + 1));
+    w.u32(self_.value());
+    w.u32(static_cast<std::uint32_t>(count));
+    for (std::size_t j = 0; j < count; ++j) {
+      const std::uint64_t id = msg_ids[i + j];
+      w.u64(id);
+      w.blob(sender.pending[id].payload);
     }
     send_wire(dst, w.take());
     i += count;
@@ -773,11 +699,9 @@ void GroupService::timer_loop() {
           maybe_flush(group, st, /*force=*/true);
         }
         // Heartbeats.
-        if (now - st.last_heartbeat >= config_.heartbeat_interval) {
+        if (now - st.last_heartbeat >= kHeartbeatInterval) {
           st.last_heartbeat = now;
-          Writer w;
-          w.u8(static_cast<std::uint8_t>(WireKind::kHeartbeat));
-          w.u32(group_raw);
+          Writer w = begin_wire(WireKind::kHeartbeat, group);
           // Highest sequence this node knows of, so receivers can detect
           // (and NACK) a gap at the tail of the stream.  The sequencer
           // advertises only what it has multicast (flushed_seq): an

@@ -10,10 +10,12 @@
 //  - The member with the lowest node id in the current view sequences
 //    submissions and multicasts them; members deliver in sequence order
 //    using a hold-back queue and NACK-based gap repair.
-//  - The sequencer coalesces the submissions of one sequencing round
-//    into a single SeqBatch multicast (a contiguous run of sequence
-//    numbers) instead of one datagram per message; flushing is governed
-//    by GcsConfig::max_batch_msgs / max_batch_bytes / batch_flush_delay.
+//  - Every data-path datagram is a batch; a lone message is a batch of
+//    one.  Senders pack their submissions into SubmitBatch datagrams, the
+//    sequencer acks externals with SubmitAckBatch, and it multicasts the
+//    submissions of one sequencing round as SeqBatch datagrams (each a
+//    contiguous run of sequence numbers); flushing is governed by
+//    GcsConfig::max_batch_msgs / max_batch_bytes / batch_flush_delay.
 //    Acks to external senders are deferred to the flush, so an ack
 //    implies the message was actually multicast.  NACK repair responds
 //    at the same granularity (contiguous runs of the retained window).
@@ -61,23 +63,13 @@ namespace adets::gcs {
 /// Tunables; all durations are real time (failure detection is a
 /// real-time concern, not a workload concern).
 struct GcsConfig {
-  common::Duration heartbeat_interval = std::chrono::milliseconds(20);
   common::Duration suspect_timeout = std::chrono::milliseconds(150);
   common::Duration retransmit_interval = std::chrono::milliseconds(60);
-  common::Duration view_ack_timeout = std::chrono::milliseconds(250);
   common::Duration timer_tick = std::chrono::milliseconds(5);
-  /// How many delivered messages each member retains for NACK repair and
-  /// view-change reconciliation (a sliding window; older ones cannot be
-  /// re-requested, matching a real GC layer's stability horizon).
-  std::size_t retained_limit = 8192;
-  /// The sequencer's dedup map is pruned once it exceeds
-  /// dedup_horizon_factor * retained_limit entries (entries below the
-  /// retained window reference messages nobody can re-request anyway).
-  std::size_t dedup_horizon_factor = 2;
 
-  // --- sequencer batching ---------------------------------------------
-  /// Max sequenced messages multicast per SeqBatch datagram.  1 disables
-  /// batching (one datagram per message, the pre-batching wire shape).
+  // --- batching -------------------------------------------------------
+  /// Max messages per SeqBatch / SubmitBatch datagram.  1 sends every
+  /// message in a batch of its own (one datagram per message).
   std::size_t max_batch_msgs = 64;
   /// Max payload bytes accumulated before a flush is forced.
   std::size_t max_batch_bytes = 64 * 1024;
@@ -91,9 +83,6 @@ struct GcsConfig {
   /// (effective delay is one timer_tick).  Zero sends immediately.
   common::Duration submit_flush_delay = common::Duration::zero();
 };
-
-/// Historical name, kept for existing call sites.
-using GroupServiceConfig = GcsConfig;
 
 /// Totally-ordered delivery and view callbacks of one group membership.
 struct GroupCallbacks {
@@ -212,16 +201,10 @@ class GroupService {
   // All handlers below run with mutex_ held (enforced by clang's
   // thread-safety analysis via ADETS_REQUIRES) unless stated otherwise.
   void on_message(transport::Message message);  // transport thread
-  void handle_submit(common::GroupId group, const transport::Message& m,
-                     common::Reader& r) ADETS_REQUIRES(mutex_);
   void handle_submit_batch(common::GroupId group, const transport::Message& m,
                            common::Reader& r) ADETS_REQUIRES(mutex_);
-  void handle_submit_ack(common::GroupId group, common::Reader& r)
-      ADETS_REQUIRES(mutex_);
   void handle_submit_ack_batch(common::GroupId group, common::Reader& r)
       ADETS_REQUIRES(mutex_);
-  void handle_seq_msg(common::GroupId group, const transport::Message& m,
-                      common::Reader& r) ADETS_REQUIRES(mutex_);
   void handle_seq_batch(common::GroupId group, const transport::Message& m,
                         common::Reader& r) ADETS_REQUIRES(mutex_);
   void handle_nack(common::GroupId group, common::NodeId from, common::Reader& r)
@@ -243,14 +226,18 @@ class GroupService {
   void maybe_flush(common::GroupId group, MemberState& st, bool force)
       ADETS_REQUIRES(mutex_);
   void flush_batch(common::GroupId group, MemberState& st) ADETS_REQUIRES(mutex_);
-  void store_and_deliver(common::GroupId group, MemberState& st, Sequenced message)
-      ADETS_REQUIRES(mutex_);
+  /// Acks `msg_ids` to external sender `dst` in one SubmitAckBatch.
+  void send_acks(common::GroupId group, common::NodeId dst,
+                 const std::vector<std::uint64_t>& msg_ids);
   void try_deliver(common::GroupId group, MemberState& st) ADETS_REQUIRES(mutex_);
   void maybe_install_view(common::GroupId group, MemberState& st) ADETS_REQUIRES(mutex_);
   void start_proposal(common::GroupId group, MemberState& st) ADETS_REQUIRES(mutex_);
   void finish_proposal(common::GroupId group, MemberState& st) ADETS_REQUIRES(mutex_);
   void send_nack_if_gap(common::GroupId group, MemberState& st, bool force)
       ADETS_REQUIRES(mutex_);
+  /// Asks `dst` (a sequencer) to retransmit [from_seq, to_seq].
+  void send_nack(common::GroupId group, common::NodeId dst, std::uint64_t from_seq,
+                 std::uint64_t to_seq);
   void resend_pending(common::GroupId group, SenderState& sender, bool force)
       ADETS_REQUIRES(mutex_);
   /// Sends one batch of this sender's pending submissions to `target`.

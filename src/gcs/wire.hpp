@@ -16,20 +16,19 @@
 
 namespace adets::gcs {
 
-/// Protocol message kinds multiplexed over the transport.
+/// Protocol message kinds multiplexed over the transport.  The data path
+/// has one wire shape per role, always a batch: a lone message travels as
+/// a batch of one.
 enum class WireKind : std::uint8_t {
-  kSubmit = 1,     // sender -> sequencer (or member, forwarded): order me
-  kSubmitAck = 2,  // sequencer -> external sender: your message is sequenced
-  kSeqMsg = 3,     // sequencer -> members: one totally ordered message
   kNack = 4,       // member -> sequencer: retransmit sequence range
-  kHeartbeat = 5,  // member -> members: liveness
+  kHeartbeat = 5,  // member -> members: liveness + highest known seq
   kViewPropose = 6,
   kViewAck = 7,
   kViewCommit = 8,
-  kDirect = 9,        // point-to-point datagram outside any total order
-  kSeqBatch = 10,     // sequencer -> members: contiguous run of ordered messages
-  kSubmitBatch = 11,  // sender -> sequencer: several submissions, one datagram
-  kSubmitAckBatch = 12,  // sequencer -> external sender: several acks
+  kDirect = 9,           // point-to-point datagram outside any total order
+  kSeqBatch = 10,        // sequencer -> members: contiguous run of ordered messages
+  kSubmitBatch = 11,     // sender -> sequencer (or member, forwarded): order these
+  kSubmitAckBatch = 12,  // sequencer -> external sender: these are sequenced
 };
 
 /// A message submitted for total ordering.  (sender, sender_msg_id) makes
@@ -83,12 +82,8 @@ inline Sequenced decode_sequenced(common::Reader& r,
 // message seq is implicit, so the batch header costs 12 bytes total
 // instead of 8 per message.  NACK repair responds with the same format
 // (any contiguous sub-run of the retained window is a valid SeqBatch).
-
-inline void encode_seq_batch_header(common::Writer& w, std::uint64_t first_seq,
-                                    std::uint32_t count) {
-  w.u64(first_seq);
-  w.u32(count);
-}
+// ViewAck is the one kind that carries explicit per-message seqs
+// (encode_sequenced), because the messages it reports may have gaps.
 
 inline void encode_view(common::Writer& w, const View& v) {
   w.u32(v.id.value());

@@ -188,12 +188,13 @@ void racy_kvreg_body(McCtx& ctx) {
 }
 
 // Four requests arriving back-to-back, the delivery shape a flushed
-// SeqBatch produces: the GCS hands the whole batch to on_deliver in one
-// event and the replica runs the per-message callback with no gaps, so
-// request starts are not separated by network interleavings.  Two
-// contended mutexes give every strategy a real grant-order choice inside
-// the burst; the checker's cross-replica grant-trace equality property
-// then certifies that batched delivery cannot diverge the replicas.
+// four-message SeqBatch produces: the GCS hands the whole batch to
+// on_deliver in one event and the replica runs the per-message callback
+// with no gaps, so request starts are not separated by network
+// interleavings.  Two contended mutexes give every strategy a real
+// grant-order choice inside the burst; the checker's cross-replica
+// grant-trace equality property then certifies that batched delivery
+// cannot diverge the replicas.
 void seqbatch_body(McCtx& ctx) {
   const std::uint64_t m = 1 + (ctx.request_id() % 2);
   ctx.lock(m);

@@ -222,10 +222,13 @@ void Replica::nested_invoke_oneway(SyncContext& ctx, GroupId target,
                                    const std::string& method, const Bytes& args) {
   // Fire-and-forget: all replicas derive the same id, so the callee's
   // at-most-once filter collapses the copies; no reply is produced and
-  // the scheduler is not involved (the caller does not block).
+  // the scheduler is not involved (the caller does not block).  Because
+  // the caller keeps running, the request starts a logical thread of its
+  // own: inheriting the caller's would let a callback it triggers
+  // re-enter the caller's locks while the caller still holds them.
   RequestMessage request;
   request.id = derive_nested_id(ctx.request_id(), ctx.next_nested_counter());
-  request.logical = ctx.logical();
+  request.logical = common::LogicalThreadId(request.id.value());
   request.reply_mode = ReplyMode::kNone;
   request.reply_target = 0;
   request.method = method;

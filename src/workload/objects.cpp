@@ -92,9 +92,12 @@ Bytes ComputePatterns::do_dy(std::uint64_t compute_ms, std::uint64_t mutex_index
 
 std::uint64_t ComputePatterns::state_hash() const {
   repl::StateHash h;
-  for (const auto& [mutex, log] : access_log_) {
-    h.mix(mutex);
-    h.mix_range(log);
+  // Never-touched logs are skipped: the digest depends only on the
+  // mutexes the requests actually used, not on the configured count.
+  for (std::size_t mutex = 0; mutex < access_log_.size(); ++mutex) {
+    if (access_log_[mutex].empty()) continue;
+    h.mix(static_cast<std::uint64_t>(mutex));
+    h.mix_range(access_log_[mutex]);
   }
   return h.digest();
 }

@@ -22,6 +22,7 @@
 #include "runtime/cluster.hpp"
 #include "runtime/context.hpp"
 #include "runtime/object.hpp"
+#include "workload/objects.hpp"
 #include "workload/scenario.hpp"
 
 namespace adets {
@@ -130,6 +131,39 @@ TEST_F(DivergenceAuditTest, BackgroundAuditorStaysQuietOnCleanRun) {
   EXPECT_TRUE(result.converged) << result.audit.diagnostic;
   EXPECT_GT(result.background_audits, 0u);
   EXPECT_FALSE(result.background_divergence);
+}
+
+TEST_F(DivergenceAuditTest, ComputePatternsConvergesUnderParallelMutexes) {
+  // PDS runs handlers that hold different logical mutexes in parallel, so
+  // an object whose per-mutex state shares one growable container races
+  // on the container itself: replicas can diverge, and ThreadSanitizer
+  // reports the race even on runs whose hashes happen to agree.
+  constexpr int kClients = 16;
+  constexpr int kRequestsPerClient = 12;
+  runtime::Cluster cluster;
+  sched::SchedulerConfig sched_config;
+  sched_config.pds_thread_pool = 16;
+  const auto group = cluster.create_group(
+      3, sched::SchedulerKind::kPds,
+      [] { return std::make_unique<workload::ComputePatterns>(10); }, sched_config);
+  std::vector<runtime::Client*> clients;
+  for (int c = 0; c < kClients; ++c) clients.push_back(&cluster.create_client());
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      static const char* const kPatterns[] = {"b", "c", "d"};
+      for (int i = 0; i < kRequestsPerClient; ++i) {
+        const auto mutex = static_cast<std::uint64_t>(c * 7 + i) % 10;
+        clients[c]->invoke(group, kPatterns[(c + i) % 3],
+                           workload::pack_u64(std::uint64_t{1}, mutex));
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  ASSERT_TRUE(cluster.wait_drained(group, kClients * kRequestsPerClient,
+                                   std::chrono::seconds(60)));
+  const auto report = repl::audit_group(cluster, group);
+  EXPECT_FALSE(report.diverged) << report.diagnostic;
 }
 
 // --- negative control: a broken scheduler must be flagged -----------------

@@ -1,6 +1,8 @@
-// Sequencer-batching tests: the batched wire path (SeqBatch/SubmitBatch)
-// must be an invisible transport optimisation — same total order, same
-// exactly-once guarantee, same failover behaviour as max_batch_msgs=1.
+// Sequencer-batching tests: every data-path datagram is a batch
+// (SeqBatch/SubmitBatch/SubmitAckBatch), and packing many messages per
+// batch must be an invisible transport optimisation — same total order,
+// same exactly-once guarantee, same failover behaviour as
+// max_batch_msgs=1, where each message travels in a batch of one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -136,7 +138,7 @@ TEST_F(GcsBatchTest, PartialBatchIsFlushedByTimer) {
 }
 
 TEST_F(GcsBatchTest, BatchedDeliveryMatchesUnbatchedOrder) {
-  // Same workload through max_batch_msgs=1 (the pre-batching wire shape)
+  // Same workload through max_batch_msgs=1 (one message per datagram)
   // and through aggressive batching: both must deliver the submission
   // sequence verbatim on every member.  The sequencer submits to itself,
   // so the expected order is exactly the submission order.
@@ -162,36 +164,64 @@ TEST_F(GcsBatchTest, BatchedDeliveryMatchesUnbatchedOrder) {
 }
 
 TEST_F(GcsBatchTest, DuplicatesAcrossBatchBoundariesAreFiltered) {
-  // Cut sequencer -> submitter, so the submitter never sees its message
-  // sequenced and retries into later sequencing rounds (and, via target
-  // rotation, through other members).  The duplicates land in different
-  // batches; dedup must still collapse them to one delivery.
+  // Cut sequencer -> submitter for a member and an external, so neither
+  // sees its message sequenced or acked and both retry into later
+  // sequencing rounds (and, via target rotation, through other members).
+  // The duplicates land in different batches; dedup must still collapse
+  // them to one delivery.  The external's original was flushed while its
+  // link was cut, so only the sequencer's re-ack of a duplicate can stop
+  // its retries once the link heals.
   GcsConfig config = batched_config();
   config.retransmit_interval = std::chrono::milliseconds(30);
-  BatchCluster cluster(*net_, 3, 0, config);
+  BatchCluster cluster(*net_, 3, 1, config);
+  net_->set_fault_plan(transport::FaultPlan{});  // record per-link traffic
+  const NodeId external = cluster.node(3);
 
   transport::LinkConfig dead;
   dead.drop_probability = 1.0;
   net_->set_link(cluster.node(0), cluster.node(1), dead);
+  net_->set_link(cluster.node(0), external, dead);
 
   cluster.service(1).submit(BatchCluster::kGroup, text("dup"));
+  cluster.service(3).submit(BatchCluster::kGroup, text("ext-dup"));
   // Interleave other traffic so retries fall into distinct batches.
   for (int i = 0; i < 6; ++i) {
     cluster.service(2).submit(BatchCluster::kGroup, text("f" + std::to_string(i)));
     std::this_thread::sleep_for(std::chrono::milliseconds(25));
   }
   net_->set_link(cluster.node(0), cluster.node(1), transport::LinkConfig{});
+  net_->set_link(cluster.node(0), external, transport::LinkConfig{});
 
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(cluster.sink(i).wait_count(7)) << "member " << i;
+    ASSERT_TRUE(cluster.sink(i).wait_count(8)) << "member " << i;
   }
   // Allow would-be duplicates to arrive, then check exactly-once.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   const auto log0 = cluster.sink(0).snapshot();
   EXPECT_EQ(std::count(log0.begin(), log0.end(), "dup"), 1);
-  EXPECT_EQ(log0.size(), 7u);
+  EXPECT_EQ(std::count(log0.begin(), log0.end(), "ext-dup"), 1);
+  EXPECT_EQ(log0.size(), 8u);
   EXPECT_EQ(cluster.sink(1).snapshot(), log0);
   EXPECT_EQ(cluster.sink(2).snapshot(), log0);
+
+  // The external sends nothing but submissions: once re-acked, its
+  // outgoing links fall silent for good.  Look for a window of ten
+  // retransmit intervals in which it sent nothing.
+  const auto sent_by_external = [&] {
+    std::size_t sent = 0;
+    for (const auto& [link, decisions] : net_->fault_trace()) {
+      if (link.first == external.value()) sent += decisions.size();
+    }
+    return sent;
+  };
+  bool quiet = false;
+  const auto deadline = common::Clock::now() + std::chrono::seconds(10);
+  while (!quiet && common::Clock::now() < deadline) {
+    const std::size_t before = sent_by_external();
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    quiet = sent_by_external() == before;
+  }
+  EXPECT_TRUE(quiet) << "the external never stopped retransmitting";
 }
 
 TEST_F(GcsBatchTest, FailoverResequencesUnflushedBatch) {

@@ -65,13 +65,13 @@ class GcsExtraTest : public ::testing::Test {
 };
 
 TEST_F(GcsExtraTest, TailGapRepairedByHeartbeat) {
-  // A dropped FINAL SeqMsg leaves the receiver's holdback empty, so the
+  // A dropped FINAL SeqBatch leaves the receiver's holdback empty, so the
   // gap NACK never fires, and once the submitter has seen its own
   // message sequenced nobody retransmits it either.  The only repair
   // path is the highest known sequence piggybacked on heartbeats.
   // Suspicion is effectively disabled so the outage cannot be healed by
   // a view change instead.
-  GroupServiceConfig patient;
+  GcsConfig patient;
   patient.suspect_timeout = std::chrono::seconds(30);
   const NodeId a = net_->create_node();
   const NodeId b = net_->create_node();
@@ -227,7 +227,9 @@ TEST_F(GcsExtraTest, ViewEventDeliveredToApp) {
     if (!s0.views.empty()) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  const std::lock_guard<std::mutex> guard(s0.mutex);
+  // The survivors keep delivering view events into the sinks; stop the
+  // services before the sinks go out of scope.
+  for (auto& s : services_) s->stop();
   ASSERT_FALSE(s0.views.empty());
   EXPECT_GE(s0.views.back(), 1u);
 }

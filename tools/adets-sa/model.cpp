@@ -311,9 +311,10 @@ class Parser {
     c.file = file_;
     c.line = line;
     c.bases = std::move(bases);
+    const std::string class_name = c.name;  // nested classes grow prog_.classes
     prog_.classes.push_back(std::move(c));
     const int idx = static_cast<int>(prog_.classes.size()) - 1;
-    parse_scope(prog_.classes[idx].name, idx, is_struct);
+    parse_scope(class_name, idx, is_struct);
     if (!at_end() && cur().text == ";") pos_++;
     return true;
   }
