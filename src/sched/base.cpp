@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "common/mc_hooks.hpp"
@@ -14,6 +15,13 @@ using common::LogicalThreadId;
 using common::MutexId;
 using common::RequestId;
 using common::ThreadId;
+
+namespace {
+/// Parked carriers beyond this many exit instead of parking, so a burst
+/// of concurrent logical threads (an LSA follower can hold thousands)
+/// does not pin that many idle OS threads afterwards.
+constexpr std::size_t kMaxIdleCarriers = 32;
+}  // namespace
 
 SchedulerBase::ThreadRecord*& SchedulerBase::tls_slot() {
   static thread_local ThreadRecord* slot = nullptr;
@@ -43,28 +51,28 @@ void SchedulerBase::stop() {
   {
     Lk lk(mon_);
     wake_all_for_stop(lk);
+    for (Carrier* carrier : idle_) carrier->cv.notify_all();
+    idle_.clear();
   }
-  // Join all scheduler threads.  Blocked threads observe stopping() at
-  // their wakeup predicates and unwind.
+  // Join every carrier, running or parked.  Blocked threads observe
+  // stopping() at their wakeup predicates and unwind; parked carriers
+  // wake with no record and exit.  A carrier that exits moves its handle
+  // to retired_, so nothing is missed.
   while (true) {
     std::thread victim;
     {
       Lk lk(mon_);
-      for (auto& [id, record] : threads_) {
-        if (record->os_thread.joinable()) {
-          victim = std::move(record->os_thread);
+      for (Carrier& carrier : carriers_) {
+        if (carrier.os_thread.joinable()) {
+          victim = std::move(carrier.os_thread);
           break;
         }
       }
+      if (!victim.joinable()) victim = std::move(retired_);
     }
     if (!victim.joinable()) break;
     victim.join();
   }
-  Lk lk(mon_);
-  for (auto& t : finished_) {
-    if (t.joinable()) t.join();
-  }
-  finished_.clear();
 }
 
 void SchedulerBase::wake_all_for_stop(Lk&) {
@@ -115,10 +123,11 @@ void SchedulerBase::lock(MutexId mutex) {
     r.count++;
     return;
   }
+  // `r` stays valid while base_lock releases mon_: std::map references
+  // are stable and reentrant_ entries are never erased.
   base_lock(lk, t, mutex);
-  ReentrantState& r2 = reentrant_[mutex.value()];  // map may have rehashed
-  r2.owner = t.logical;
-  r2.count = 1;
+  r.owner = t.logical;
+  r.count = 1;
 }
 
 void SchedulerBase::unlock(MutexId mutex) {
@@ -163,9 +172,8 @@ WaitResult SchedulerBase::wait(MutexId mutex, CondVarId condvar, Duration timeou
   record_decision(result.notified ? Decision::Kind::kCvWakeup
                                   : Decision::Kind::kCvTimeout,
                   mutex, condvar, t.id, generation);
-  ReentrantState& r2 = reentrant_[mutex.value()];
-  r2.owner = t.logical;
-  r2.count = saved_count;
+  r.owner = t.logical;  // `r` is stable across base_wait (see lock())
+  r.count = saved_count;
   return result;
 }
 
@@ -324,27 +332,19 @@ std::string to_string(const Decision& decision) {
 
 SchedulerBase::ThreadRecord& SchedulerBase::spawn_thread(
     Lk&, Request request, std::optional<ThreadId> forced_id, bool internal) {
-  // Reap previously finished threads (join is instantaneous: they only
-  // mark kDone as their final action under mon_).
+  // Drop finished records: kDone is a body's last write under mon_, so
+  // its carrier no longer touches it.  The caller's own record stays (a
+  // finishing thread spawns its successor from on_thread_done).
   for (auto it = threads_.begin(); it != threads_.end();) {
-    if (it->second->state == ThreadState::kDone && it->second->os_thread.joinable() &&
-        it->second.get() != tls_slot()) {
-      finished_.push_back(std::move(it->second->os_thread));
+    if (it->second->state == ThreadState::kDone && it->second.get() != tls_slot()) {
       it = threads_.erase(it);
     } else {
       ++it;
     }
   }
-  if (finished_.size() > 64) {
-    for (auto& t : finished_) {
-      if (t.joinable()) t.join();
-    }
-    finished_.clear();
-  }
 
   const ThreadId id = forced_id.value_or(ThreadId(next_thread_id_));
   if (!forced_id) next_thread_id_++;
-  stats_.threads_spawned++;
   auto record = std::make_unique<ThreadRecord>();
   record->id = id;
   record->logical = request.logical;
@@ -358,17 +358,56 @@ SchedulerBase::ThreadRecord& SchedulerBase::spawn_thread(
   // begin/end calls are no-ops behind a null-pointer load.
   const std::uint64_t mc_ticket =
       mchook::active() ? mchook::active()->thread_spawning() : 0;
-  raw->os_thread = std::thread([this, raw, mc_ticket] {
-    tls_slot() = raw;
+  // A checked record always gets a new carrier.  Handing it to a parked
+  // one would add a checker-visible notify whose presence depends on
+  // whether that carrier parked in time, i.e. on real timing.
+  if (mc_ticket == 0 && !idle_.empty()) {
+    Carrier* carrier = idle_.back();
+    idle_.pop_back();
+    carrier->next = raw;
+    carrier->cv.notify_one();
+    return *raw;
+  }
+  stats_.threads_spawned++;
+  const auto carrier = carriers_.emplace(carriers_.end());
+  carrier->os_thread = std::thread(
+      [this, carrier, raw, mc_ticket] { carrier_loop(carrier, raw, mc_ticket); });
+  return *raw;
+}
+
+void SchedulerBase::carrier_loop(std::list<Carrier>::iterator self, ThreadRecord* first,
+                                 std::uint64_t mc_ticket) {
+  ThreadRecord* record = first;
+  std::thread previous;
+  while (true) {
+    tls_slot() = record;
     if (auto* mc = mchook::active(); mc && mc_ticket != 0) {
       mc->thread_begin(mc_ticket);
-      thread_body(*raw);
+      thread_body(*record);
       mc->thread_end();
-      return;
+    } else {
+      thread_body(*record);
     }
-    thread_body(*raw);
-  });
-  return *raw;
+    // current() on this carrier must name no record until it is handed
+    // the next one; re-entrancy state is keyed by logical thread, so
+    // nothing else of the finished record rides along.
+    tls_slot() = nullptr;
+    mc_ticket = 0;  // a reused carrier only runs unchecked records
+
+    Lk lk(mon_);
+    if (!stopping() && idle_.size() < kMaxIdleCarriers) {
+      idle_.push_back(&*self);
+      while (self->next == nullptr && !stopping()) self->cv.wait(lk);
+      record = std::exchange(self->next, nullptr);
+      if (record != nullptr) continue;
+    }
+    // Retire: leave our handle for the next carrier to exit (or stop())
+    // to join, and join the one retired before us.
+    previous = std::exchange(retired_, std::move(self->os_thread));
+    carriers_.erase(self);
+    break;
+  }
+  if (previous.joinable()) previous.join();
 }
 
 void SchedulerBase::thread_body(ThreadRecord& t) {

@@ -5,8 +5,8 @@
 // variables while the strategy decides, deterministically, when they may
 // proceed.  SchedulerBase provides:
 //
-//  - the thread registry (deterministic ThreadId allocation, spawning,
-//    lazy joining, thread-local current-thread lookup);
+//  - the thread registry (deterministic ThreadId allocation, spawning
+//    onto reusable OS threads, thread-local current-thread lookup);
 //  - the reentrancy layer (paper Sec. 4): lock counts per logical thread,
 //    so only 0->1 / 1->0 transitions reach the strategy's base_lock /
 //    base_unlock;
@@ -18,6 +18,7 @@
 #pragma once
 
 #include <atomic>
+#include <list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -105,6 +106,15 @@ class SchedulerBase : public Scheduler {
     bool pds_terminate = false;          // pool-shrink signal
     std::uint64_t ticket_epoch = 1;      // MAT: re-eligibility generation
     bool internal = false;               // timeout handler / pool worker
+  };
+
+  /// An OS thread that runs ThreadRecords one after another.  Logical
+  /// threads (records, ThreadIds) are what strategies schedule; a carrier
+  /// is only the physical thread a record happens to run on.  Fields are
+  /// protected by mon_, by the same convention as ThreadRecord.
+  struct Carrier {
+    common::CondVar cv;              // parks on mon_ while idle
+    ThreadRecord* next = nullptr;    // record handed over by spawn_thread
     std::thread os_thread;
   };
 
@@ -149,9 +159,9 @@ class SchedulerBase : public Scheduler {
   /// Appends strategy-specific diagnostics (called with mon_ held).
   virtual void debug_extra(std::string&) const ADETS_REQUIRES(mon_) {}
 
-  /// Top-level function of a spawned OS thread.  The default runs one
-  /// work item: admission gate, execute, completion hook.  PDS overrides
-  /// it with a pool-worker loop.
+  /// Runs one scheduler thread (record) on its carrier.  The default runs
+  /// one work item: admission gate, execute, completion hook.  PDS
+  /// overrides it with a pool-worker loop.
   virtual void thread_body(ThreadRecord& t);
 
   /// A wait() timeout expired locally.  Default: broadcast a timeout
@@ -165,13 +175,14 @@ class SchedulerBase : public Scheduler {
   /// Spawns a new scheduler thread for `request`.  ThreadIds are
   /// allocated in call order, so all replicas must call this in the same
   /// order (delivery order).  `forced_id` is for threads with derived
-  /// deterministic ids (LSA timeout threads).  NON_BLOCKING: the only
-  /// join inside is of threads already observed in kDone state (their
-  /// final action under mon_), so it returns immediately.
+  /// deterministic ids (LSA timeout threads).  The record runs on a
+  /// parked carrier when there is one, else on a newly started OS
+  /// thread; either way nothing here waits (exited carriers are joined
+  /// by the next carrier to exit, off the monitor).
   ThreadRecord& spawn_thread(Lk& lk, Request request,
                              std::optional<common::ThreadId> forced_id = std::nullopt,
                              bool internal = false)
-      ADETS_REQUIRES(mon_) ADETS_NON_BLOCKING;
+      ADETS_REQUIRES(mon_);
 
   /// The registry record of the calling thread (TLS).
   ThreadRecord& current();
@@ -199,6 +210,11 @@ class SchedulerBase : public Scheduler {
   /// the calling scheduler thread.  mon_ must NOT be held.
   void run_request_body(ThreadRecord& t, const Request& request);
 
+  /// What a carrier's OS thread runs: `first`, then every record handed
+  /// to it while parked, until stop() or the idle cap retires it.
+  void carrier_loop(std::list<Carrier>::iterator self, ThreadRecord* first,
+                    std::uint64_t mc_ticket);
+
   /// Arms the local timer for a timed wait.
   void arm_wait_timer(ThreadRecord& t, common::MutexId mutex, common::CondVarId condvar,
                       std::uint64_t generation, common::Duration timeout);
@@ -225,8 +241,13 @@ class SchedulerBase : public Scheduler {
   std::uint64_t next_internal_request_ ADETS_GUARDED_BY(mon_) = 0;
   /// Replies delivered before the caller registered.
   std::set<std::uint64_t> early_replies_ ADETS_GUARDED_BY(mon_);
-  /// Exited os threads, joined lazily.
-  std::vector<std::thread> finished_ ADETS_GUARDED_BY(mon_);
+  /// Every carrier that has not exited; list nodes are stable, so a
+  /// carrier can erase its own entry.
+  std::list<Carrier> carriers_ ADETS_GUARDED_BY(mon_);
+  /// Parked carriers, most recently parked last.
+  std::vector<Carrier*> idle_ ADETS_GUARDED_BY(mon_);
+  /// The last carrier to exit, joined by the next one (or by stop()).
+  std::thread retired_ ADETS_GUARDED_BY(mon_);
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> completed_{0};
 

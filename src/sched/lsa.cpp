@@ -302,6 +302,7 @@ void LsaScheduler::on_wait_timer_expired(ThreadId thread, MutexId mutex,
 
 void LsaScheduler::base_before_nested(Lk&, ThreadRecord& t) {
   t.state = ThreadState::kBlockedNested;
+  wake_callbacks(t);
 }
 
 void LsaScheduler::base_after_nested(Lk& lk, ThreadRecord& t) {
@@ -309,8 +310,45 @@ void LsaScheduler::base_after_nested(Lk& lk, ThreadRecord& t) {
   t.state = ThreadState::kRunning;
 }
 
-void LsaScheduler::on_thread_start(Lk&, ThreadRecord&) {}
-void LsaScheduler::on_thread_done(Lk&, ThreadRecord&) {}
+// A callback shares its originator's logical thread, so its lock() of a
+// mutex the originator holds re-enters without a grant on every replica
+// (the leader records no table entry for it).  That only holds if the
+// originator already holds the mutex when the callback locks it.  A
+// follower replays the originator's grant when the originator's thread
+// gets to run, which can be after the callback's delivery; the callback
+// would then wait for a table entry that never comes.  So a callback
+// starts only once every earlier thread of its logical thread is parked
+// in a nested call (or done): the program point at which the callback
+// was issued, with the same mutexes held on every replica.
+bool LsaScheduler::callback_must_wait(const ThreadRecord& t) const {
+  for (const auto& [id, record] : threads_) {
+    if (id >= t.id.value()) break;
+    if (record->internal || record->logical != t.logical) continue;
+    if (record->state != ThreadState::kBlockedNested &&
+        record->state != ThreadState::kDone) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void LsaScheduler::wake_callbacks(const ThreadRecord& t) {
+  for (auto& [id, record] : threads_) {
+    if (record->logical == t.logical && record->state == ThreadState::kBlockedAdmission) {
+      wake(*record);
+    }
+  }
+}
+
+void LsaScheduler::on_thread_start(Lk& lk, ThreadRecord& t) {
+  if (t.internal) return;
+  while (!stopping() && callback_must_wait(t)) {
+    t.state = ThreadState::kBlockedAdmission;
+    block(lk, t);
+  }
+}
+
+void LsaScheduler::on_thread_done(Lk&, ThreadRecord& t) { wake_callbacks(t); }
 
 // --- wire format ------------------------------------------------------------------------
 

@@ -95,6 +95,11 @@ class LsaScheduler : public SchedulerBase {
     std::uint64_t generation;
   };
 
+  /// True while an earlier thread of `t`'s logical thread (its
+  /// originator, or an earlier callback) runs outside a nested call.
+  [[nodiscard]] bool callback_must_wait(const ThreadRecord& t) const ADETS_REQUIRES(mon_);
+  /// Wakes the callbacks of `t`'s logical thread held in on_thread_start.
+  void wake_callbacks(const ThreadRecord& t) ADETS_REQUIRES(mon_);
   /// The full lock algorithm (leader record / follower replay).
   void lock_impl(Lk& lk, ThreadRecord& t, common::MutexId mutex) ADETS_REQUIRES(mon_);
   void unlock_impl(Lk& lk, common::MutexId mutex) ADETS_REQUIRES(mon_);

@@ -120,18 +120,18 @@ Bytes EchoService::dispatch(const std::string& method, const Bytes& args,
 }
 
 Bytes EchoService::do_echo(const Bytes& args) {
-  calls_++;
+  calls_.fetch_add(1, std::memory_order_relaxed);
   return args;
 }
 
 Bytes EchoService::do_delay(std::uint64_t delay_ms, SyncContext& ctx) {
-  calls_++;
+  calls_.fetch_add(1, std::memory_order_relaxed);
   ctx.compute(paper_ms(static_cast<long long>(delay_ms)));
-  return pack_u64(calls_);
+  return pack_u64(calls_.load(std::memory_order_relaxed));
 }
 
 Bytes EchoService::do_callback(std::uint64_t group, SyncContext& ctx) {
-  calls_++;
+  calls_.fetch_add(1, std::memory_order_relaxed);
   return ctx.invoke(common::GroupId(static_cast<std::uint32_t>(group)), "__cb", {});
 }
 

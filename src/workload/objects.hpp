@@ -7,6 +7,7 @@
 // replica behaves identically.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -81,7 +82,9 @@ class EchoService : public runtime::ReplicatedObject {
  public:
   common::Bytes dispatch(const std::string& method, const common::Bytes& args,
                          runtime::SyncContext& ctx) override;
-  [[nodiscard]] std::uint64_t state_hash() const override { return calls_; }
+  [[nodiscard]] std::uint64_t state_hash() const override {
+    return calls_.load(std::memory_order_relaxed);
+  }
 
  private:
   // Every method bumps the shared call counter, so all three conflict
@@ -93,7 +96,9 @@ class EchoService : public runtime::ReplicatedObject {
   common::Bytes do_callback(std::uint64_t group, runtime::SyncContext& ctx)
       ADETS_CONFLICT(all) ADETS_WRITES(calls_);
 
-  std::uint64_t calls_ = 0;  // monotone; not lock-protected state
+  // Monotone and not lock-protected: MAT, LSA and PDS run these
+  // handlers concurrently, so the counter is atomic.
+  std::atomic<std::uint64_t> calls_{0};
 };
 
 /// Front object of the nested benchmarks: executes a permutation of

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <list>
 #include <mutex>
 
 #include "common/clock.hpp"
@@ -58,10 +59,16 @@ class GcsExtraTest : public ::testing::Test {
     }
   };
 
+  /// A sink owned by the fixture.  It outlives TearDown's stop(), so a
+  /// delivery still in flight when a test body returns never lands in a
+  /// destroyed sink.
+  Sink& make_sink() { return sinks_.emplace_back(); }
+
   double saved_scale_ = 1.0;
   std::unique_ptr<transport::SimNetwork> net_;
   std::vector<NodeId> nodes_;
   std::vector<std::unique_ptr<GroupService>> services_;
+  std::list<Sink> sinks_;
 };
 
 TEST_F(GcsExtraTest, TailGapRepairedByHeartbeat) {
@@ -77,8 +84,8 @@ TEST_F(GcsExtraTest, TailGapRepairedByHeartbeat) {
   const NodeId b = net_->create_node();
   GroupService sa(*net_, a, patient);
   GroupService sb(*net_, b, patient);
-  Sink s0;
-  Sink s1;
+  Sink& s0 = make_sink();
+  Sink& s1 = make_sink();
   const GroupId g(7);
   const std::vector<NodeId> members{a, b};
   sa.join(g, members, s0.callbacks());
@@ -101,10 +108,10 @@ TEST_F(GcsExtraTest, TailGapRepairedByHeartbeat) {
 }
 
 TEST_F(GcsExtraTest, MultipleGroupsAreIsolated) {
-  Sink a0;
-  Sink a1;
-  Sink b0;
-  Sink b1;
+  Sink& a0 = make_sink();
+  Sink& a1 = make_sink();
+  Sink& b0 = make_sink();
+  Sink& b1 = make_sink();
   const GroupId ga(1);
   const GroupId gb(2);
   services_[0]->join(ga, {nodes_[0], nodes_[1]}, a0.callbacks());
@@ -125,7 +132,7 @@ TEST_F(GcsExtraTest, MultipleGroupsAreIsolated) {
 }
 
 TEST_F(GcsExtraTest, LargePayloadRoundTrips) {
-  Sink sink;
+  Sink& sink = make_sink();
   const GroupId g(1);
   services_[0]->join(g, {nodes_[0]}, sink.callbacks());
   Bytes big(256 * 1024);
@@ -140,7 +147,7 @@ TEST_F(GcsExtraTest, SubmitWithoutSessionReturnsZero) {
 }
 
 TEST_F(GcsExtraTest, DeliveredUpToAdvances) {
-  Sink sink;
+  Sink& sink = make_sink();
   const GroupId g(1);
   services_[0]->join(g, {nodes_[0]}, sink.callbacks());
   EXPECT_EQ(services_[0]->delivered_up_to(g), 0u);
@@ -150,9 +157,9 @@ TEST_F(GcsExtraTest, DeliveredUpToAdvances) {
 }
 
 TEST_F(GcsExtraTest, NonSequencerCrashTriggersViewChangeWithoutLoss) {
-  Sink s0;
-  Sink s1;
-  Sink s2;
+  Sink& s0 = make_sink();
+  Sink& s1 = make_sink();
+  Sink& s2 = make_sink();
   const GroupId g(1);
   const std::vector<NodeId> members{nodes_[0], nodes_[1], nodes_[2]};
   services_[0]->join(g, members, s0.callbacks());
@@ -181,9 +188,9 @@ TEST_F(GcsExtraTest, NonSequencerCrashTriggersViewChangeWithoutLoss) {
 TEST_F(GcsExtraTest, TotalOrderSurvivesLossyLinks) {
   // 20% message loss on every link: sender retransmission, NACK repair
   // and ack dedup must still deliver everything exactly once, in order.
-  Sink s0;
-  Sink s1;
-  Sink s2;
+  Sink& s0 = make_sink();
+  Sink& s1 = make_sink();
+  Sink& s2 = make_sink();
   const GroupId g(1);
   const std::vector<NodeId> members{nodes_[0], nodes_[1], nodes_[2]};
   transport::LinkConfig lossy;
@@ -212,11 +219,11 @@ TEST_F(GcsExtraTest, TotalOrderSurvivesLossyLinks) {
 }
 
 TEST_F(GcsExtraTest, ViewEventDeliveredToApp) {
-  Sink s0;
-  Sink s1;
+  Sink& s0 = make_sink();
+  Sink& s1 = make_sink();
   const GroupId g(1);
   const std::vector<NodeId> members{nodes_[0], nodes_[1], nodes_[2]};
-  Sink s2;
+  Sink& s2 = make_sink();
   services_[0]->join(g, members, s0.callbacks());
   services_[1]->join(g, members, s1.callbacks());
   services_[2]->join(g, members, s2.callbacks());
@@ -228,7 +235,7 @@ TEST_F(GcsExtraTest, ViewEventDeliveredToApp) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   // The survivors keep delivering view events into the sinks; stop the
-  // services before the sinks go out of scope.
+  // services before reading s0.views without its lock.
   for (auto& s : services_) s->stop();
   ASSERT_FALSE(s0.views.empty());
   EXPECT_GE(s0.views.back(), 1u);

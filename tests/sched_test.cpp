@@ -578,6 +578,49 @@ TEST_F(SchedTestBase, LsaFollowersReplayLeaderGrantOrder) {
   EXPECT_EQ(cluster.trace(2), leader_trace);
 }
 
+TEST_F(SchedTestBase, LsaCallbackWaitsForLaggingOriginator) {
+  // Request 1 holds mutex 7 across a nested call; request 2 is the
+  // callback (same logical thread) and re-enters mutex 7, so the leader
+  // grants it nothing.  Followers start request 1's body late: the
+  // callback is delivered before their originator holds mutex 7, and must
+  // wait for it instead of asking the strategy for a grant the leader's
+  // table will never carry.
+  constexpr std::uint64_t kLogical = 5;
+  constexpr std::uint64_t kNested = 100;
+  SchedulerCluster cluster(SchedulerKind::kLsa, 3);
+  std::atomic<bool> leader_in_nested{false};
+  cluster.set_perturbation([](int replica, std::uint64_t request) {
+    if (replica != 0 && request == 1) common::Clock::sleep_real(ms(50));
+  });
+  cluster.set_body(1, [&](BodyCtx& ctx) {
+    ctx.lock(7);
+    if (ctx.replica() == 0) leader_in_nested.store(true);
+    ctx.nested_call(kNested);
+    ctx.unlock(7);
+  });
+  cluster.set_body(2, [](BodyCtx& ctx) {
+    ctx.lock(7);
+    ctx.trace("callback");
+    ctx.unlock(7);
+  });
+  cluster.submit(1, kLogical);
+  const auto deadline = common::Clock::now() + std::chrono::seconds(10);
+  while (!leader_in_nested.load() && common::Clock::now() < deadline) {
+    common::Clock::sleep_real(ms(1));
+  }
+  ASSERT_TRUE(leader_in_nested.load());
+  cluster.submit(2, kLogical);
+  ASSERT_TRUE(cluster.wait_completed(1, std::chrono::seconds(5)));  // the callback
+  cluster.deliver_reply(kNested);
+  ASSERT_TRUE(cluster.wait_completed(2, std::chrono::seconds(5)));
+  const std::vector<sched::GrantRecord> expected{
+      {common::MutexId(7), common::ThreadId(0)}};
+  for (int r = 0; r < cluster.size(); ++r) {
+    EXPECT_EQ(cluster.replica(r).grant_trace(), expected) << "replica " << r;
+    EXPECT_EQ(cluster.trace(r), std::vector<std::string>{"callback"}) << "replica " << r;
+  }
+}
+
 TEST_F(SchedTestBase, LsaDynamicMutexIdsBindInProgramOrder) {
   // Threads lock several previously unregistered mutexes; followers must
   // learn the leader-assigned ids purely from the table stream.
